@@ -5,7 +5,9 @@
 #   1. cargo fmt --check          — formatting
 #   2. cargo clippy -D warnings   — lints across the whole workspace
 #   3. cargo test -q              — unit, integration, and property tests
-#   3b. scalar-fallback goldens   — the determinism suites re-run with
+#   3b. scalar-fallback goldens   — the determinism suites (and the
+#                                   selector's thread-invariance and
+#                                   fingerprint tests) re-run with
 #                                   E2GCL_KERNEL_CONFIG=scalar so the
 #                                   non-SIMD fallback keeps reproducing the
 #                                   committed scalar fingerprints
@@ -88,6 +90,10 @@ echo "==> scalar-fallback goldens: E2GCL_KERNEL_CONFIG=scalar determinism suites
 # kernels still reproduce all committed scalar fingerprints (DESIGN.md §16).
 E2GCL_KERNEL_CONFIG=scalar cargo test -q --offline -p e2gcl \
     --test golden_determinism --test loss_strategy_determinism
+# The greedy selector's thread invariance and its committed selection
+# fingerprint, on the scalar path too.
+E2GCL_KERNEL_CONFIG=scalar cargo test -q --offline -p e2gcl-selector \
+    --test thread_invariance --test selection_fingerprint
 
 echo "==> lint: no .unwrap()/panic! in non-test library code"
 # Test modules in this codebase are trailing `#[cfg(test)] mod tests` blocks,

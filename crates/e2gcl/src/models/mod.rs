@@ -149,7 +149,8 @@ const NEGATIVE_POOL_MIN: usize = 2048;
 
 /// Deterministically selects `k` representative negative rows of `repr`
 /// for the small-negative-set loss via the Alg. 2 greedy selector
-/// ([`GreedySelector::select_from_aggregate`] on the current embeddings).
+/// ([`GreedySelector::select_nodes_from_aggregate`] on the current
+/// embeddings; the λ weights are never computed).
 ///
 /// Returns global row indices, sorted ascending. When `repr` has more than
 /// `max(8k, 2048)` rows, the selector runs on a candidate pool of that
@@ -166,7 +167,7 @@ pub(crate) fn select_negatives(repr: &Matrix, k: usize, rng: &mut SeedRng) -> Ve
     let pool_cap = (NEGATIVE_POOL_FACTOR * k).max(NEGATIVE_POOL_MIN);
     let selector = GreedySelector::default();
     let mut nodes = if n <= pool_cap {
-        selector.select_from_aggregate(repr, k, rng).nodes
+        selector.select_nodes_from_aggregate(repr, k, rng)
     } else {
         let mut pool = rng.sample_without_replacement(n, pool_cap);
         // Sorting makes the pooled sub-matrix (and therefore the greedy
@@ -174,8 +175,7 @@ pub(crate) fn select_negatives(repr: &Matrix, k: usize, rng: &mut SeedRng) -> Ve
         pool.sort_unstable();
         let pooled = repr.select_rows(&pool);
         selector
-            .select_from_aggregate(&pooled, k, rng)
-            .nodes
+            .select_nodes_from_aggregate(&pooled, k, rng)
             .into_iter()
             .map(|local| pool[local])
             .collect()

@@ -111,6 +111,47 @@ pub fn lane_dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [
     out
 }
 
+/// Squared distances from `query` to `out.len()` points stored transposed:
+/// coordinate `k` of point `l` is `points_t[k * stride + l]`.
+///
+/// Each point is one lane with its own accumulator, summed over `k` in
+/// ascending order from the same start value as [`sq_dist`], so `out[l]`
+/// is bit-identical to `sq_dist(point_l, query)`. The lanes are
+/// independent, so the loop vectorises across points instead of
+/// serialising on one accumulator. Full 16-lane chunks keep their
+/// accumulators in registers; the tail accumulates in `out`.
+pub fn sq_dist_lanes(points_t: &[f32], stride: usize, query: &[f32], out: &mut [f32]) {
+    const CHUNK: usize = 16;
+    // `sq_dist`'s start value: the neutral element of `f32: Sum`.
+    let zero: f32 = std::iter::empty::<f32>().sum();
+    let lanes = out.len();
+    debug_assert!(query.is_empty() || points_t.len() >= (query.len() - 1) * stride + lanes);
+    let full = lanes - lanes % CHUNK;
+    for base in (0..full).step_by(CHUNK) {
+        let mut acc = [zero; CHUNK];
+        for (k, &q) in query.iter().enumerate() {
+            let row = &points_t[k * stride + base..][..CHUNK];
+            for (a, &x) in acc.iter_mut().zip(row) {
+                let d = x - q;
+                *a += d * d;
+            }
+        }
+        out[base..base + CHUNK].copy_from_slice(&acc);
+    }
+    let tail = &mut out[full..];
+    tail.fill(zero);
+    if tail.is_empty() {
+        return;
+    }
+    for (k, &q) in query.iter().enumerate() {
+        let row = &points_t[k * stride + full..][..tail.len()];
+        for (a, &x) in tail.iter_mut().zip(row) {
+            let d = x - q;
+            *a += d * d;
+        }
+    }
+}
+
 /// `y += s * x` for slices.
 #[inline]
 pub fn axpy_slice(y: &mut [f32], s: f32, x: &[f32]) {
@@ -182,6 +223,32 @@ mod tests {
                     lane_dot(&a, &b[j]).to_bits(),
                     "len {len}, row {j}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn sq_dist_lanes_is_bitwise_sq_dist() {
+        let mut rng = crate::SeedRng::new(3);
+        for dim in [0usize, 1, 3, 8, 17] {
+            for lanes in [0usize, 1, 5, 16, 17, 33, 48] {
+                let stride = lanes + 3;
+                let points_t: Vec<f32> = (0..dim * stride).map(|_| rng.normal()).collect();
+                let query: Vec<f32> = (0..dim).map(|_| rng.normal()).collect();
+                let mut out = vec![f32::NAN; lanes];
+                sq_dist_lanes(&points_t, stride, &query, &mut out);
+                for (l, &got) in out.iter().enumerate() {
+                    let point: Vec<f32> = (0..dim).map(|k| points_t[k * stride + l]).collect();
+                    assert_eq!(got.to_bits(), sq_dist(&point, &query).to_bits());
+                }
+                // A lane sub-range reads the same columns.
+                if lanes > 2 && dim > 0 {
+                    let mut sub = vec![0.0; lanes - 2];
+                    sq_dist_lanes(&points_t[2..], stride, &query, &mut sub);
+                    for (a, b) in sub.iter().zip(&out[2..]) {
+                        assert_eq!(a.to_bits(), b.to_bits());
+                    }
+                }
             }
         }
     }

@@ -364,7 +364,7 @@ pub fn small_neg_info_nce_with(
 }
 
 /// Small-negative-set strategy: negatives are set per epoch (e.g. from
-/// `GreedySelector::select_from_aggregate`) and every anchor contrasts
+/// `GreedySelector::select_nodes_from_aggregate`) and every anchor contrasts
 /// against that fixed set.
 ///
 /// When the negative set covers *every* row (`k == n`), the objective is

@@ -13,10 +13,38 @@
 //! through its cluster, so the marginal gain of a candidate `u` decomposes
 //! into an exact per-member term over `u`'s own cluster plus one threshold
 //! query per other cluster — which sorted per-cluster coverage tables answer
-//! in `O(log |C_j|)` each.
+//! in `O(log |C_j|)` each, or in `O(1)` when the threshold is at or above
+//! every member's coverage (the gain is then exactly zero).
+//!
+//! Per greedy step, evaluating a candidate costs `O(|C_u|·d + n_c)`: the
+//! own-cluster distances run lane-per-member over a transposed copy of the
+//! cluster's rows, and only clusters the threshold can still improve pay
+//! the binary search. Adding a node rebuilds only the coverage tables whose
+//! members' coverage changed. Every result is bit-identical to evaluating
+//! the definition pair by pair with [`ops::dist`].
 
 use crate::kmeans::Clustering;
 use e2gcl_linalg::{ops, Matrix};
+use rayon::prelude::*;
+
+/// Members per stack chunk of [`member_dists`].
+const MEMBER_CHUNK: usize = 64;
+
+/// Calls `f(slot, ||R[member] − query||)` for each of a cluster's `m`
+/// members in member order, from the cluster's transposed block
+/// (`d x m`), `MEMBER_CHUNK` lanes at a time. Each distance is
+/// bit-identical to `ops::dist(R[member], query)`.
+fn member_dists(block: &[f32], m: usize, query: &[f32], mut f: impl FnMut(usize, f32)) {
+    let mut sq = [0.0f32; MEMBER_CHUNK];
+    for start in (0..m).step_by(MEMBER_CHUNK) {
+        let sq = &mut sq[..MEMBER_CHUNK.min(m - start)];
+        // `block` is empty when `d = 0`; the kernel then reads nothing.
+        ops::sq_dist_lanes(&block[start.min(block.len())..], m, query, sq);
+        for (i, &s) in sq.iter().enumerate() {
+            f(start + i, s.sqrt());
+        }
+    }
+}
 
 /// Incremental evaluator of the Eq. (14) objective.
 #[derive(Clone, Debug)]
@@ -30,10 +58,20 @@ pub struct CoresetObjective<'a> {
     best: Vec<f32>,
     /// Per-cluster sorted copies of `best` + suffix sums, for threshold sums.
     tables: Vec<CoverageTable>,
-    /// Precomputed `||c_j − R[u]||` for every node `u` and cluster `j`
-    /// (row-major `n x n_c`) — the relaxed branch of Eq. (14) reads this
-    /// once per (candidate, cluster) instead of recomputing a `d`-dim
-    /// distance on every greedy step.
+    /// `tables[j].skip_bound()`, contiguous for the per-candidate scan.
+    table_max: Vec<f32>,
+    /// Position of each node in cluster order (cluster 0's members, then
+    /// cluster 1's, …; members ascending within a cluster).
+    pos: Vec<usize>,
+    /// Start of each cluster in cluster order (`n_c + 1` entries).
+    cluster_start: Vec<usize>,
+    /// Member rows transposed per cluster: cluster `i`'s block is
+    /// `d x |C_i|` row-major at `d · cluster_start[i]`.
+    members_t: Vec<f32>,
+    /// Precomputed `||c_j − R[u]||` for every node `u` and cluster `j`,
+    /// row `pos[u]` of an `n x n_c` row-major matrix — the relaxed branch
+    /// of Eq. (14) reads this once per (candidate, cluster) instead of
+    /// recomputing a `d`-dim distance on every greedy step.
     center_dist: Vec<f32>,
     selected: Vec<usize>,
 }
@@ -48,13 +86,36 @@ struct CoverageTable {
 
 impl CoverageTable {
     fn build(values: impl Iterator<Item = f32>) -> CoverageTable {
-        let mut sorted: Vec<f32> = values.collect();
-        sorted.sort_unstable_by(|a, b| a.total_cmp(b));
-        let mut suffix = vec![0.0f64; sorted.len() + 1];
-        for i in (0..sorted.len()).rev() {
-            suffix[i] = suffix[i + 1] + f64::from(sorted[i]);
+        let mut table = CoverageTable {
+            sorted: Vec::new(),
+            suffix: Vec::new(),
+        };
+        table.rebuild(values);
+        table
+    }
+
+    /// Rebuilds in place, reusing both buffers.
+    fn rebuild(&mut self, values: impl Iterator<Item = f32>) {
+        self.sorted.clear();
+        self.sorted.extend(values);
+        self.sorted.sort_unstable_by(|a, b| a.total_cmp(b));
+        self.suffix.clear();
+        self.suffix.resize(self.sorted.len() + 1, 0.0);
+        for i in (0..self.sorted.len()).rev() {
+            self.suffix[i] = self.suffix[i + 1] + f64::from(self.sorted[i]);
         }
-        CoverageTable { sorted, suffix }
+    }
+
+    /// A threshold `t >= skip_bound()` improves no member: `t < best_w`
+    /// holds for none of them, and for finite `t` [`Self::gain_at`] is
+    /// exactly `0.0`. The bound is the largest coverage, `-∞` for an empty
+    /// table, and NaN (never skip) when a member's coverage is NaN.
+    fn skip_bound(&self) -> f32 {
+        match (self.sorted.first(), self.sorted.last()) {
+            (Some(lo), Some(hi)) if lo.is_nan() || hi.is_nan() => f32::NAN,
+            (_, Some(&hi)) => hi,
+            _ => f32::NEG_INFINITY,
+        }
     }
 
     /// `Σ_w max(0, best_w − t)` over this cluster's members.
@@ -70,6 +131,8 @@ impl<'a> CoresetObjective<'a> {
     /// Builds the evaluator over raw aggregates `repr` and a clustering.
     pub fn new(repr: &'a Matrix, clustering: &'a Clustering) -> Self {
         let k = clustering.num_clusters();
+        let n = repr.rows();
+        let dim = repr.cols();
         // Upper bound on any Eq. (14) distance: max centre separation plus
         // twice the largest radius.
         let mut max_center_sep = 0.0f32;
@@ -81,20 +144,54 @@ impl<'a> CoresetObjective<'a> {
         }
         let max_radius = clustering.d_max.iter().cloned().fold(0.0f32, f32::max);
         let big = max_center_sep + 2.0 * max_radius + 1.0;
-        let best = vec![big; repr.rows()];
-        let tables = Self::build_tables(clustering, &best);
-        let n = repr.rows();
+        let best = vec![big; n];
+        let tables: Vec<CoverageTable> = clustering
+            .members
+            .iter()
+            .map(|ms| CoverageTable::build(ms.iter().map(|&w| best[w])))
+            .collect();
+        let table_max = tables.iter().map(CoverageTable::skip_bound).collect();
+
+        let mut pos = vec![0usize; n];
+        let mut cluster_start = Vec::with_capacity(k + 1);
+        cluster_start.push(0);
+        for ms in &clustering.members {
+            let start = *cluster_start.last().expect("starts with 0");
+            for (slot, &w) in ms.iter().enumerate() {
+                pos[w] = start + slot;
+            }
+            cluster_start.push(start + ms.len());
+        }
+        let mut members_t = vec![0.0f32; n * dim];
         let mut center_dist = vec![0.0f32; n * k];
         {
-            use rayon::prelude::*;
-            center_dist
-                .par_chunks_mut(k)
-                .enumerate()
-                .for_each(|(u, row)| {
-                    for (j, slot) in row.iter_mut().enumerate() {
-                        *slot = ops::dist(clustering.centers.row(j), repr.row(u));
+            // One cluster per task: transpose its rows into its block, then
+            // fill its members' centre distances (lane per member, bitwise
+            // `ops::dist` — `(c − r)² = (r − c)²` exactly).
+            let mut tasks = Vec::with_capacity(k);
+            let (mut blocks, mut dists) = (members_t.as_mut_slice(), center_dist.as_mut_slice());
+            for ms in &clustering.members {
+                let (block, rest_b) = blocks.split_at_mut(ms.len() * dim);
+                let (dist, rest_d) = dists.split_at_mut(ms.len() * k);
+                tasks.push((ms, block, dist));
+                blocks = rest_b;
+                dists = rest_d;
+            }
+            tasks.into_par_iter().for_each(|(ms, block, dist)| {
+                let m = ms.len();
+                for (slot, &w) in ms.iter().enumerate() {
+                    for (c, &x) in repr.row(w).iter().enumerate() {
+                        block[c * m + slot] = x;
                     }
-                });
+                }
+                let mut sq = vec![0.0f32; m];
+                for j in 0..k {
+                    ops::sq_dist_lanes(block, m, clustering.centers.row(j), &mut sq);
+                    for (slot, &s) in sq.iter().enumerate() {
+                        dist[slot * k + j] = s.sqrt();
+                    }
+                }
+            });
         }
         Self {
             repr,
@@ -102,32 +199,27 @@ impl<'a> CoresetObjective<'a> {
             big,
             best,
             tables,
+            table_max,
+            pos,
+            cluster_start,
+            members_t,
             center_dist,
             selected: Vec::new(),
         }
     }
 
-    /// Precomputed `||c_j − R[u]||`.
+    /// Precomputed `||c_j − R[u]||` for all `j`.
     #[inline]
-    fn dist_to_center(&self, u: usize, j: usize) -> f32 {
-        self.center_dist[u * self.clustering.num_clusters() + j]
+    fn center_dists(&self, u: usize) -> &[f32] {
+        let k = self.clustering.num_clusters();
+        &self.center_dist[self.pos[u] * k..][..k]
     }
 
-    fn build_tables(clustering: &Clustering, best: &[f32]) -> Vec<CoverageTable> {
-        use rayon::prelude::*;
-        if clustering.labels.len() >= 4096 {
-            clustering
-                .members
-                .par_iter()
-                .map(|ms| CoverageTable::build(ms.iter().map(|&w| best[w])))
-                .collect()
-        } else {
-            clustering
-                .members
-                .iter()
-                .map(|ms| CoverageTable::build(ms.iter().map(|&w| best[w])))
-                .collect()
-        }
+    /// Cluster `i`'s transposed member block (`d x |C_i|`).
+    #[inline]
+    fn block(&self, i: usize) -> &[f32] {
+        let dim = self.repr.cols();
+        &self.members_t[dim * self.cluster_start[i]..dim * self.cluster_start[i + 1]]
     }
 
     /// Currently selected nodes.
@@ -153,54 +245,87 @@ impl<'a> CoresetObjective<'a> {
         if cu == cw {
             ops::dist(self.repr.row(w), self.repr.row(u))
         } else {
-            self.dist_to_center(u, cw) + self.clustering.d_max[cw]
+            self.center_dists(u)[cw] + self.clustering.d_max[cw]
         }
     }
 
     /// Marginal gain `ΔRS(u | V_s) = RS(V_s) − RS(V_s ∪ {u}) ≥ 0`.
     pub fn gain(&self, u: usize) -> f64 {
         let cu = self.clustering.labels[u];
+        let members = &self.clustering.members[cu];
+        let block = self.block(cu);
+        let query = self.repr.row(u);
         let mut gain = 0.0f64;
-        // Exact branch over u's own cluster.
-        for &w in &self.clustering.members[cu] {
-            let d = ops::dist(self.repr.row(w), self.repr.row(u));
+        // Exact branch over u's own cluster, in member order.
+        member_dists(block, members.len(), query, |slot, d| {
+            let w = members[slot];
             if d < self.best[w] {
                 gain += f64::from(self.best[w] - d);
             }
-        }
-        // Relaxed branch for every other cluster.
-        for j in 0..self.clustering.num_clusters() {
-            if j == cu {
+        });
+        // Relaxed branch for every other cluster. Skipped clusters would
+        // add exactly 0.0, which leaves the sum's bits unchanged.
+        let it = self
+            .center_dists(u)
+            .iter()
+            .zip(&self.clustering.d_max)
+            .zip(&self.table_max)
+            .enumerate();
+        for (j, ((&cd, &d_max), &bound)) in it {
+            let t = cd + d_max;
+            if j == cu || (t >= bound && t.is_finite()) {
                 continue;
             }
-            let t = self.dist_to_center(u, j) + self.clustering.d_max[j];
             gain += self.tables[j].gain_at(t);
         }
         gain
     }
 
-    /// Adds `u` to the selection, updating coverage distances.
+    /// Adds `u` to the selection, updating coverage distances and rebuilding
+    /// the coverage tables of the clusters whose coverage changed.
     pub fn add(&mut self, u: usize) {
         self.selected.push(u);
         let cu = self.clustering.labels[u];
-        for &w in &self.clustering.members[cu] {
-            let d = ops::dist(self.repr.row(w), self.repr.row(u));
-            if d < self.best[w] {
-                self.best[w] = d;
+        let members = &self.clustering.members[cu];
+        let dim = self.repr.cols();
+        let block = &self.members_t[dim * self.cluster_start[cu]..dim * self.cluster_start[cu + 1]];
+        let best = &mut self.best;
+        let mut changed = false;
+        member_dists(block, members.len(), self.repr.row(u), |slot, d| {
+            let w = members[slot];
+            if d < best[w] {
+                best[w] = d;
+                changed = true;
             }
+        });
+        if changed {
+            self.rebuild_table(cu);
         }
-        for j in 0..self.clustering.num_clusters() {
-            if j == cu {
+        let k = self.clustering.num_clusters();
+        let row = self.pos[u] * k;
+        for j in 0..k {
+            let t = self.center_dist[row + j] + self.clustering.d_max[j];
+            if j == cu || t >= self.table_max[j] {
                 continue;
             }
-            let t = self.dist_to_center(u, j) + self.clustering.d_max[j];
+            let mut changed = false;
             for &w in &self.clustering.members[j] {
                 if t < self.best[w] {
                     self.best[w] = t;
+                    changed = true;
                 }
             }
+            if changed {
+                self.rebuild_table(j);
+            }
         }
-        self.tables = Self::build_tables(self.clustering, &self.best);
+    }
+
+    fn rebuild_table(&mut self, j: usize) {
+        let best = &self.best;
+        let table = &mut self.tables[j];
+        table.rebuild(self.clustering.members[j].iter().map(|&w| best[w]));
+        self.table_max[j] = table.skip_bound();
     }
 }
 

@@ -1,6 +1,7 @@
 //! Algorithm 2: sampling-based greedy coreset selection.
 
 use crate::coreset::CoresetObjective;
+use crate::fenwick::RemainingSet;
 use crate::kmeans::{kmeans, Clustering};
 use crate::{assign_weights, NodeSelector, Selection};
 use e2gcl_graph::{norm, CsrGraph};
@@ -55,13 +56,25 @@ impl GreedySelector {
         budget: usize,
         rng: &mut SeedRng,
     ) -> Selection {
+        let nodes = self.select_nodes_from_aggregate(repr, budget, rng);
+        let weights = assign_weights(repr, &nodes);
+        Selection { nodes, weights }
+    }
+
+    /// Alg. 2 without the λ weights of line 10, for callers that keep only
+    /// the nodes (the small-negative loss re-selects every epoch). Draws
+    /// from `rng` exactly as [`Self::select_from_aggregate`] does, so the
+    /// nodes are identical.
+    pub fn select_nodes_from_aggregate(
+        &self,
+        repr: &Matrix,
+        budget: usize,
+        rng: &mut SeedRng,
+    ) -> Vec<usize> {
         let n = repr.rows();
         let budget = budget.min(n);
         if budget == 0 {
-            return Selection {
-                nodes: Vec::new(),
-                weights: Vec::new(),
-            };
+            return Vec::new();
         }
         let n_c = if self.config.num_clusters == 0 {
             (n / 32).clamp(60, 400)
@@ -75,7 +88,7 @@ impl GreedySelector {
             &mut rng.fork("kmeans"),
         );
         let mut objective = CoresetObjective::new(repr, &clustering);
-        let mut selected_mask = vec![false; n];
+        let mut remaining = RemainingSet::full(n);
         let mut sample_rng = rng.fork("sampling");
         let base_n_s = if self.config.sample_size == 0 {
             // Theorem 3: n_s = (n/k)·ln(1/ε) candidates suffice for the
@@ -90,13 +103,17 @@ impl GreedySelector {
         let step_work = base_n_s * (avg_cluster * repr.cols() + n_c);
         let parallel_gains = step_work >= 4_000_000;
         while objective.selected().len() < budget {
-            let remaining: Vec<usize> = (0..n).filter(|&v| !selected_mask[v]).collect();
             if remaining.is_empty() {
                 break;
             }
             let n_s = base_n_s.min(remaining.len());
             let candidate_idx = sample_rng.sample_without_replacement(remaining.len(), n_s);
-            let candidates: Vec<usize> = candidate_idx.into_iter().map(|i| remaining[i]).collect();
+            // The i-th remaining node in ascending id order, as a rebuilt
+            // `(0..n).filter(unselected)` list would index it.
+            let candidates: Vec<usize> = candidate_idx
+                .into_iter()
+                .map(|i| remaining.nth(i))
+                .collect();
             // Marginal-gain evaluation (Alg. 2, lines 5-7). Parallelism only
             // pays once the per-step work amortises rayon's fork/join cost;
             // on small graphs the serial loop is several times faster.
@@ -129,11 +146,9 @@ impl GreedySelector {
             let v_star = best.0;
             debug_assert!(v_star != usize::MAX);
             objective.add(v_star);
-            selected_mask[v_star] = true;
+            remaining.remove(v_star);
         }
-        let nodes = objective.selected().to_vec();
-        let weights = assign_weights(repr, &nodes);
-        Selection { nodes, weights }
+        objective.selected().to_vec()
     }
 }
 

@@ -1,7 +1,7 @@
 //! KMeans++ / Lloyd clustering over raw aggregates.
 
+use crate::assign::{nearest_rows, ASSIGN_REP_TILE};
 use e2gcl_linalg::{ops, Matrix, SeedRng};
-use rayon::prelude::*;
 
 /// Result of a KMeans run.
 #[derive(Clone, Debug)]
@@ -42,27 +42,15 @@ pub fn kmeans(x: &Matrix, k: usize, iters: usize, rng: &mut SeedRng) -> Clusteri
     let k = k.clamp(1, n);
     let mut centers = plus_plus_init(x, k, rng);
     let mut labels = vec![0usize; n];
+    let ids: Vec<usize> = (0..k).collect();
     for _ in 0..iters {
-        // Assignment step as one dense matmul:
+        // Assignment step over streamed tiles of the cross matrix:
         // argmin_c ||x_v - c||^2 = argmin_c (||c||^2 - 2 x_v · c).
-        let cross = x.matmul_transpose(&centers);
-        let c_sq: Vec<f32> = (0..k)
-            .map(|c| ops::dot(centers.row(c), centers.row(c)))
+        let tiles: Vec<Matrix> = ids
+            .chunks(ASSIGN_REP_TILE)
+            .map(|tile| centers.select_rows(tile))
             .collect();
-        let new_labels: Vec<usize> = (0..n)
-            .into_par_iter()
-            .map(|v| {
-                let row = cross.row(v);
-                let mut best = (0usize, f32::INFINITY);
-                for (c, (&cr, &sq)) in row.iter().zip(&c_sq).enumerate() {
-                    let d = sq - 2.0 * cr;
-                    if d < best.1 {
-                        best = (c, d);
-                    }
-                }
-                best.0
-            })
-            .collect();
+        let new_labels = nearest_rows(x, &tiles);
         let changed = new_labels != labels;
         labels = new_labels;
         // Update step.
@@ -131,19 +119,23 @@ fn nearest_center(row: &[f32], centers: &Matrix) -> (usize, f32) {
 }
 
 /// KMeans++ seeding: first centre uniform, later centres ∝ D².
+///
+/// The distance refresh after each new centre runs lane-per-row over a
+/// transposed copy of `x`, bit-identical to `ops::sq_dist` per row.
 fn plus_plus_init(x: &Matrix, k: usize, rng: &mut SeedRng) -> Matrix {
     let n = x.rows();
     let mut centers = Matrix::zeros(k, x.cols());
     let first = rng.below(n);
     centers.set_row(0, x.row(first));
-    let mut d2: Vec<f32> = (0..n)
-        .map(|v| ops::sq_dist(x.row(v), centers.row(0)))
-        .collect();
+    let x_t = x.transpose();
+    let mut d2 = vec![0.0f32; n];
+    ops::sq_dist_lanes(x_t.as_slice(), n, centers.row(0), &mut d2);
+    let mut fresh = vec![0.0f32; n];
     for c in 1..k {
         let pick = rng.weighted_index(&d2);
         centers.set_row(c, x.row(pick));
-        for (v, dv) in d2.iter_mut().enumerate() {
-            let d = ops::sq_dist(x.row(v), centers.row(c));
+        ops::sq_dist_lanes(x_t.as_slice(), n, centers.row(c), &mut fresh);
+        for (dv, &d) in d2.iter_mut().zip(&fresh) {
             if d < *dv {
                 *dv = d;
             }

@@ -9,17 +9,25 @@
 //!
 //! Modules:
 //! * [`kmeans`] — KMeans++/Lloyd over the raw aggregates;
-//! * [`coreset`] — the Eq. (14) representativity objective with `O(1)`
-//!   marginal-gain evaluation;
+//! * [`assign`] — nearest-row assignment (the λ weights of Alg. 2 and the
+//!   k-means assignment step) over streamed tiles of the cross matrix;
+//! * [`coreset`] — the Eq. (14) representativity objective with
+//!   incremental marginal-gain evaluation: `O(|C_u|·d + n_c)` per
+//!   candidate `u`, plus an `O(log |C_j|)` search for each other cluster
+//!   `j` the candidate can still improve;
 //! * [`greedy`] — Algorithm 2;
+//! * [`fenwick`] — order statistics over the not-yet-selected nodes;
 //! * [`baselines`] — Random / Degree / KMeans / KCG / Grain selectors of
 //!   Table VII.
 
+pub mod assign;
 pub mod baselines;
 pub mod coreset;
+pub mod fenwick;
 pub mod greedy;
 pub mod kmeans;
 
+pub use assign::{assign_weights, ASSIGN_REP_TILE, ASSIGN_ROW_TILE};
 use e2gcl_graph::CsrGraph;
 use e2gcl_linalg::{Matrix, SeedRng};
 
@@ -64,39 +72,6 @@ pub trait NodeSelector {
 
     /// Selects at most `budget` nodes of `graph` (with features `x`).
     fn select(&self, graph: &CsrGraph, x: &Matrix, budget: usize, rng: &mut SeedRng) -> Selection;
-}
-
-/// Assigns every node to its nearest selected node in `repr`-space and
-/// returns the λ weights (Alg. 2, line 10).
-pub fn assign_weights(repr: &Matrix, nodes: &[usize]) -> Vec<f32> {
-    use e2gcl_linalg::ops;
-    let mut weights = vec![0.0f32; nodes.len()];
-    if nodes.is_empty() {
-        return weights;
-    }
-    // argmin_u ||r_v - r_u||^2 = argmin_u (||r_u||^2 - 2 r_v · r_u); the
-    // cross term is one dense matmul, which is far faster than per-pair
-    // scalar distance loops.
-    let selected = repr.select_rows(nodes);
-    let sq_norms: Vec<f32> = nodes
-        .iter()
-        .map(|&u| ops::dot(repr.row(u), repr.row(u)))
-        .collect();
-    let cross = repr.matmul_transpose(&selected);
-    for v in 0..repr.rows() {
-        let row = cross.row(v);
-        let mut best = 0usize;
-        let mut best_d = f32::INFINITY;
-        for (i, (&c, &sq)) in row.iter().zip(&sq_norms).enumerate() {
-            let d = sq - 2.0 * c;
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        weights[best] += 1.0;
-    }
-    weights
 }
 
 #[cfg(test)]

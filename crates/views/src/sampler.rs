@@ -72,6 +72,39 @@ pub struct EgoView {
     pub features: Matrix,
 }
 
+/// Per-thread node marks for the 2-hop candidate gather: a node is a
+/// direct neighbour of the current `u` when its stamp equals `direct`, and
+/// already gathered when it equals `seen`. Each `u` takes two fresh stamps,
+/// so stale marks never match and nothing is cleared between nodes.
+struct StampMarks {
+    stamps: Vec<u32>,
+    next: u32,
+}
+
+impl StampMarks {
+    /// Fresh `(direct, seen)` stamps over at least `n` nodes.
+    fn next_pair(&mut self, n: usize) -> (u32, u32) {
+        if self.stamps.len() < n || self.next > u32::MAX - 2 {
+            let len = n.max(self.stamps.len());
+            self.stamps.clear();
+            self.stamps.resize(len, 0);
+            self.next = 1;
+        }
+        let pair = (self.next, self.next + 1);
+        self.next += 2;
+        pair
+    }
+}
+
+thread_local! {
+    static MARKS: std::cell::RefCell<StampMarks> = const {
+        std::cell::RefCell::new(StampMarks {
+            stamps: Vec::new(),
+            next: 1,
+        })
+    };
+}
+
 /// Precomputed sampling state for one graph.
 pub struct ViewGenerator {
     graph: CsrGraph,
@@ -103,17 +136,26 @@ impl ViewGenerator {
             .zip(cand_rng.par_iter_mut())
             .map(|(u, local_rng)| {
                 let mut cands: Vec<u32> = g.neighbors(u).to_vec();
-                let direct: std::collections::HashSet<u32> = cands.iter().copied().collect();
-                // Gather 2-hop candidates (excluding u and 1-hop).
-                let mut two_hop: Vec<u32> = Vec::new();
-                let mut seen = std::collections::HashSet::new();
-                for &w in g.neighbors(u) {
-                    for &t in g.neighbors(w as usize) {
-                        if t as usize != u && !direct.contains(&t) && seen.insert(t) {
-                            two_hop.push(t);
+                // Gather 2-hop candidates (excluding u and 1-hop) in
+                // first-seen order.
+                let mut two_hop = MARKS.with(|marks| {
+                    let mut marks = marks.borrow_mut();
+                    let (direct, seen) = marks.next_pair(n);
+                    for &c in &cands {
+                        marks.stamps[c as usize] = direct;
+                    }
+                    let mut two_hop: Vec<u32> = Vec::new();
+                    for &w in g.neighbors(u) {
+                        for &t in g.neighbors(w as usize) {
+                            let mark = &mut marks.stamps[t as usize];
+                            if t as usize != u && *mark != direct && *mark != seen {
+                                *mark = seen;
+                                two_hop.push(t);
+                            }
                         }
                     }
-                }
+                    two_hop
+                });
                 if two_hop.len() > cap {
                     let picked = local_rng.sample_without_replacement(two_hop.len(), cap);
                     two_hop = picked.into_iter().map(|i| two_hop[i]).collect();
